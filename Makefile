@@ -6,7 +6,7 @@
 
 CARGO ?= cargo
 
-.PHONY: build test bench-check bench-smoke fmt fmt-check clippy lint-check lint tsan doc ci clean
+.PHONY: build test bench-check bench-smoke e2e fmt fmt-check clippy lint-check lint tsan doc ci clean
 
 build:
 	$(CARGO) build --release
@@ -76,6 +76,19 @@ bench-smoke:
 		$(CARGO) bench --bench table5_relocation > /dev/null 2>&1
 	diff /tmp/lapse-trace-1.json /tmp/lapse-trace-2.json
 	@echo "bench-smoke: output bit-identical across runs"
+
+## End-to-end training benchmark on the threaded runtime (wall clock):
+## the mf-lapse and kge-lapse workloads of BENCHMARK.json, untraced —
+## the end-to-end rows of the EXPERIMENTS.md before/after table. SEED
+## picks the generated dataset, SECONDS the time budget per workload.
+## perfbench/README.md explains the output; `--trace 1` adds the
+## per-layer breakdown.
+SEED ?= 1
+SECONDS ?= 45
+
+e2e:
+	python3 perfbench/run.py --workload mf-lapse --seed $(SEED) --seconds $(SECONDS) --trace 0
+	python3 perfbench/run.py --workload kge-lapse --seed $(SEED) --seconds $(SECONDS) --trace 0
 
 fmt:
 	$(CARGO) fmt

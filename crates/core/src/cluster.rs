@@ -17,7 +17,7 @@ use lapse_utils::metrics::Metrics;
 use crate::api::PsWorker;
 use crate::sim_backend::{LapseProto, SimPsWorker};
 use crate::stats::ClusterStats;
-use crate::threaded::{spawn_server, ThreadedPsWorker, WakeCell};
+use crate::threaded::{spawn_server, NodeRt, ThreadedPsWorker};
 
 /// Parameter-server configuration (builder style).
 #[derive(Debug, Clone)]
@@ -313,8 +313,8 @@ where
 }
 
 /// Runs `body` on every worker of an in-process threaded cluster (real
-/// time): one server thread and `workers_per_node` worker threads per
-/// node.
+/// time): `workers_per_node` worker threads and one fallback server
+/// thread per node (see [`crate::threaded`] for who serves a node).
 pub fn run_threaded<R, F>(
     cfg: PsConfig,
     workers_per_node: usize,
@@ -345,51 +345,27 @@ where
         ThreadedNet::new(nodes, metrics.clone())
     };
 
-    // Per-worker wake cells, wired into each node's tracker.
-    let wakes: Vec<Vec<Arc<WakeCell>>> = (0..nodes)
-        .map(|_| {
-            (0..workers_per_node)
-                .map(|_| Arc::new(WakeCell::default()))
-                .collect()
-        })
-        .collect();
-    for (n, sh) in shareds.iter().enumerate() {
-        let node_wakes: Vec<Arc<WakeCell>> = wakes[n].clone();
-        sh.tracker.set_waker(Arc::new(move |slot, _seq| {
-            node_wakes[slot as usize].notify();
-        }));
-    }
-
-    let server_joins: Vec<_> = shareds
+    // One runtime per node: serving lock, inbox doorbell and wake cells,
+    // wired into the node's tracker and the transport.
+    let rts: Vec<Arc<NodeRt>> = shareds
         .iter()
-        .map(|sh| spawn_server(sh.clone(), net.clone()))
+        .map(|sh| NodeRt::new(sh.clone(), net.clone(), workers_per_node))
         .collect();
+    let server_joins: Vec<_> = rts.iter().map(|rt| spawn_server(rt.clone())).collect();
 
     let barrier = Arc::new(std::sync::Barrier::new(nodes * workers_per_node));
     let body = Arc::new(body);
     let mut worker_joins = Vec::new();
-    for n in 0..nodes {
-        for (slot, node_wake) in wakes[n].iter().enumerate() {
-            let shared = shareds[n].clone();
-            let net = net.clone();
-            let wake = node_wake.clone();
+    for (n, rt) in rts.iter().enumerate() {
+        for slot in 0..workers_per_node {
+            let rt = rt.clone();
             let barrier = barrier.clone();
             let body = body.clone();
             worker_joins.push(
                 std::thread::Builder::new()
                     .name(format!("lapse-worker-n{n}w{slot}"))
                     .spawn(move || {
-                        let client = ClientCore::new(shared, slot as u16);
-                        let mut worker = ThreadedPsWorker::new(
-                            client,
-                            net,
-                            wake,
-                            barrier,
-                            slot,
-                            nodes,
-                            workers_per_node,
-                            start,
-                        );
+                        let mut worker = ThreadedPsWorker::new(rt, slot, barrier, start);
                         body(&mut worker)
                     })
                     .expect("spawn worker thread"),

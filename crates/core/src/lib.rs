@@ -7,11 +7,13 @@
 //!   `localize` (each sync or async), `pull_if_local`, and a global
 //!   barrier. Workload code is written once against this trait and runs
 //!   unchanged on both backends.
-//! * [`run_threaded`] — the **threaded runtime**: one real server thread
-//!   plus `w` worker threads per simulated node inside this process,
-//!   connected by FIFO channels; local parameters are accessed through
-//!   shared memory under latches, exactly as in Figure 2 of the paper.
-//!   This is the backend a downstream user embeds.
+//! * [`run_threaded`] — the **threaded runtime**: `w` worker threads plus
+//!   one fallback server thread per simulated node inside this process,
+//!   connected by per-node FIFO inboxes; local parameters are accessed
+//!   through shared memory under latches, exactly as in Figure 2 of the
+//!   paper, and a node's inbox is served by whichever of its threads is
+//!   already awake (see [`threaded`]). This is the backend a downstream
+//!   user embeds.
 //! * [`run_sim`] — the **discrete-event backend**: the same protocol
 //!   driven in virtual time by `lapse-sim`, used by the experiment suite
 //!   to reproduce the paper's cluster-scaling results on a single

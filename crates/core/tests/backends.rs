@@ -199,39 +199,72 @@ fn sim_lapse_beats_classic_on_local_workload() {
     );
 }
 
+/// Runs `f` on its own thread. If it does not finish within `secs`, every
+/// live flight recorder is dumped to stderr and the test fails: a lost
+/// wake-up shows up as a trace instead of a hung test.
+fn within_deadline<R: Send + 'static>(secs: u64, f: impl FnOnce() -> R + Send + 'static) -> R {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(std::time::Duration::from_secs(secs)) {
+        Ok(r) => r,
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            lapse_trace::dump_all("threaded run missed its deadline");
+            panic!("threaded run made no progress for {secs} s: lost wake-up");
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => panic!("threaded run panicked"),
+    }
+}
+
 /// Threaded stress: many workers hammer overlapping keys with pushes and
-/// concurrent relocations; no update may be lost.
+/// concurrent relocations; no update may be lost. The 2 × 2 input
+/// localizes every third push, so relocations race each other, the
+/// pushes, and the serving rounds of both nodes; the run is traced and
+/// held to a deadline.
 #[test]
 fn threaded_stress_no_lost_updates() {
-    let pushes_per_worker = 500u64;
-    let keys = 16u64;
-    let total_pushed = Arc::new(AtomicU64::new(0));
-    let total2 = total_pushed.clone();
-    let (_, _stats) = run_threaded(
-        PsConfig::new(3, keys, 1).latches(4),
-        2,
-        |_| None,
-        move |w| {
-            let gid = w.global_id() as u64;
-            for i in 0..pushes_per_worker {
-                let k = Key((i * (gid + 3) + gid) % keys);
-                w.push(&[k], &[1.0]);
-                total2.fetch_add(1, Ordering::Relaxed);
-                if i % 17 == gid % 17 {
-                    w.localize(&[k, Key((k.0 + 5) % keys)]);
-                }
-            }
-            w.barrier();
-            // After the barrier all pushes are applied (they were sync).
-            let all: Vec<Key> = (0..keys).map(Key).collect();
-            let mut out = vec![0.0f32; keys as usize];
-            w.pull(&all, &mut out);
-            out.iter().sum::<f32>()
-        },
-    );
-    assert_eq!(total_pushed.load(Ordering::Relaxed), 6 * pushes_per_worker);
-    // Re-run a fresh pull in the same cluster is not possible post-join;
-    // rely on the per-worker sums instead.
+    // (nodes, workers per node, pushes per worker, localize every n-th push)
+    for (nodes, workers, pushes_per_worker, localize_every) in
+        [(3u16, 2usize, 500u64, 17u64), (2, 2, 2000, 3)]
+    {
+        let keys = 16u64;
+        let total_pushed = Arc::new(AtomicU64::new(0));
+        let total2 = total_pushed.clone();
+        let (results, stats) = within_deadline(120, move || {
+            run_threaded(
+                PsConfig::new(nodes, keys, 1).latches(4).trace(true),
+                workers,
+                |_| None,
+                move |w| {
+                    let gid = w.global_id() as u64;
+                    for i in 0..pushes_per_worker {
+                        let k = Key((i * (gid + 3) + gid) % keys);
+                        w.push(&[k], &[1.0]);
+                        total2.fetch_add(1, Ordering::Relaxed);
+                        if i % localize_every == gid % localize_every {
+                            w.localize(&[k, Key((k.0 + 5) % keys)]);
+                        }
+                    }
+                    w.barrier();
+                    // After the barrier all pushes are applied (they were
+                    // sync).
+                    let all: Vec<Key> = (0..keys).map(Key).collect();
+                    let mut out = vec![0.0f32; keys as usize];
+                    w.pull(&all, &mut out);
+                    out.iter().sum::<f32>()
+                },
+            )
+        });
+        let expect = nodes as u64 * workers as u64 * pushes_per_worker;
+        assert_eq!(total_pushed.load(Ordering::Relaxed), expect);
+        for r in results {
+            assert_eq!(r, expect as f32, "lost or duplicated updates");
+        }
+        assert!(stats.relocations > 0);
+        assert_eq!(stats.unexpected_relocates, 0);
+        assert_eq!(stats.tracker_in_flight, 0);
+    }
 }
 
 #[test]

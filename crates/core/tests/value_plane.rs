@@ -271,7 +271,7 @@ fn delayed_link_preserves_constituent_order_under_coalescing() {
     let total = producer.join().expect("producer panicked");
     let mut next = 0u64;
     while next < total {
-        let incoming = ep.recv().expect("sender hung up early");
+        let incoming = ep.recv();
         let constituents = match incoming.msg {
             Msg::Batch(msgs) => msgs,
             other => vec![other],

@@ -4,7 +4,10 @@
 //! the network layer: **messages between a pair of nodes are delivered in
 //! the order they were sent** (PS-Lite and Lapse achieve this by sending a
 //! thread's operations over a single TCP connection). Everything in this
-//! crate preserves that per-link FIFO property.
+//! crate preserves that per-link FIFO property for messages sent by one
+//! thread. Order across the threads of one node is the sending runtime's
+//! job: the threaded runtime sends all of a node's messages under one
+//! lock (see [`transport`]).
 //!
 //! Contents:
 //!
@@ -17,9 +20,10 @@
 //! * [`codec`] — length-prefixed binary encoding helpers plus the
 //!   [`codec::WireCodec`] trait; protocol crates implement it for their
 //!   message types so the wire format is testable end to end.
-//! * [`transport`] — the threaded transport: per-destination channels with
-//!   per-link FIFO delivery and per-link statistics, plus an optional
-//!   delay-injection hook used by failure-injection tests.
+//! * [`transport`] — the threaded transport: one FIFO inbox per node,
+//!   drained by any thread of that node, a doorbell callback per node,
+//!   per-link statistics, plus an optional delay-injection hook used by
+//!   failure-injection tests.
 
 pub mod block;
 pub mod codec;

@@ -7,8 +7,8 @@
 //! shared-memory local access — as **pure logic with no I/O**. Two drivers
 //! execute it:
 //!
-//! * the threaded runtime in `lapse-core` (real server threads, real
-//!   channels), and
+//! * the threaded runtime in `lapse-core` (real threads, per-node
+//!   inboxes), and
 //! * the discrete-event simulator in `lapse-sim` (virtual time).
 //!
 //! Because the logic is sans-io, protocol races (operations racing

@@ -758,11 +758,21 @@ impl ServerCore {
                     if drain.awaiting.contains(&requester) {
                         // Stale: issued before the requester learned of
                         // the demotion (its drain confirmation has not
-                        // arrived on this FIFO link yet), so the request
+                        // arrived on this link yet), so the request
                         // already completed at the requester when the
                         // promotion broadcast drained its incoming entry.
                         // Relocating for it would hand the key to a node
                         // that no longer expects it.
+                        //
+                        // Transport requirement: this rule is sound only
+                        // if a node's messages arrive in causal order. A
+                        // localize that a requester's worker issues after
+                        // seeing the demotion applied is sent after the
+                        // drain confirmation of the serving round that
+                        // applied it, and must arrive after it, even
+                        // though a different thread sent it. Per-thread
+                        // FIFO is not enough: the localize would be
+                        // dropped here and its worker would wait forever.
                         continue;
                     }
                     self.deferred_localizes.push((m.op, k));

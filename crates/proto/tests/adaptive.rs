@@ -221,6 +221,67 @@ fn demotion_defers_localizes_until_drained() {
     assert_eq!(c.in_flight_ops(), 0);
 }
 
+/// The requester's localize races its own drain confirmation. When the
+/// requester handles the demotion broadcast, it switches the key back to
+/// relocation under the shard latch and only then sends
+/// `TechniqueDrained`; a worker that sees the switch localizes at once.
+/// The localize is causally after the drain confirmation, so it must
+/// arrive after it: the home then unpins the key first and relocates it.
+///
+/// Delivered the other way round, the home would see a localize from a
+/// node it still awaits a drain from, drop it as stale (the rule in
+/// `handle_localize`), and the requester would wait forever. That
+/// reordered delivery is what the runtime must never produce: the
+/// threaded runtime sends every message of a node under its serving
+/// lock, and the harness delivers per link in send order.
+#[test]
+fn localize_issued_after_demotion_ack_follows_the_drain_confirmation() {
+    let mut c = cluster(2);
+    let k = Key(0); // homed at node 0
+    let home = NodeId(0);
+    let n1 = NodeId(1);
+    promote(&mut c, n1, k);
+    assert!(c.replicated_on(n1, k));
+
+    // Both nodes vote; the home demotes, pins the key and broadcasts the
+    // demotion ack, which stays undelivered for now.
+    for n in [home, n1] {
+        c.inject(
+            n,
+            home,
+            Msg::TechniqueDemote(TechniqueDemoteMsg {
+                node: n,
+                keys: vec![k],
+            }),
+        );
+        c.drain_link(n, home);
+    }
+    assert!(!c.replicated_on(home, k));
+    assert_eq!(c.pending(home, n1), 1, "demotion ack in flight");
+
+    // n1 handles the ack: the key is relocatable again there, and the
+    // drain confirmation is queued towards the home.
+    c.drain_link(home, n1);
+    assert!(!c.replicated_on(n1, k));
+    assert_eq!(c.pending(n1, home), 1, "drain confirmation queued");
+
+    // A worker of n1 sees the switch and localizes right away: its
+    // request queues behind the drain confirmation.
+    let h = c.issue(n1, 1, IssueOp::Localize(&[k]), None);
+    assert!(!c.op_done(n1, &h));
+    assert_eq!(c.pending(n1, home), 2, "localize behind the drain");
+
+    c.run_until_quiet();
+    assert!(c.op_done(n1, &h), "localize dropped as stale");
+    if let IssueHandle::Pending(seq) = h {
+        c.nodes[n1.idx()].clients[1].finish_ack(seq);
+    }
+    assert_eq!(c.nodes[home.idx()].server.owner_of(k), n1);
+    assert!(c.transitions_idle());
+    c.check_ownership_invariant();
+    assert_eq!(c.in_flight_ops(), 0);
+}
+
 #[test]
 fn promote_demote_cycles_preserve_sums() {
     let mut c = cluster(2);

@@ -130,7 +130,8 @@ fn delayed_links_do_not_lose_updates() {
         joins.push(std::thread::spawn(move || {
             let mut server = ServerCore::new(sh);
             let mut sink = Vec::new();
-            while let Some(inc) = ep.recv() {
+            loop {
+                let inc = ep.recv();
                 if matches!(inc.msg, Msg::Shutdown) {
                     return;
                 }
